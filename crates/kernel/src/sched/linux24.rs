@@ -76,11 +76,6 @@ impl Linux24Scheduler {
             }
         }
     }
-
-    fn beats(&self, tasks: &[Task]) -> impl Fn(Pid, Pid) -> bool + '_ {
-        let g: Vec<i32> = tasks.iter().map(|t| goodness(t, None)).collect();
-        move |a: Pid, b: Pid| g[a.index()] > g[b.index()]
-    }
 }
 
 impl Scheduler for Linux24Scheduler {
@@ -93,7 +88,7 @@ impl Scheduler for Linux24Scheduler {
                 tasks[pid.index()].counter = quantum_ticks(nice);
             }
         }
-        let (cpu, resched) = place_for_wake(pid, tasks, view, self.beats(tasks));
+        let (cpu, resched) = place_for_wake(pid, tasks, view, |a, b| self.preempts(a, b, tasks));
         self.queue.push_back(pid);
         resched.then_some(cpu)
     }

@@ -7,7 +7,17 @@
 //!   counters with periodic recalculation.
 //! * [`O1Scheduler`] — Ingo Molnar's O(1) scheduler as shipped in RedHawk:
 //!   per-CPU active/expired priority arrays with bitmap search, constant-time
-//!   picks, idle stealing.
+//!   picks and an index-flip array swap. An idle CPU steals from siblings
+//!   with at least two queued tasks, walking each sibling's active then
+//!   expired array over the bitmap's set bits; a task must be allowed on the
+//!   idle CPU and strictly better than the best so far, and once a candidate
+//!   exists each array's walk stops after its first non-empty list. That
+//!   early exit can miss a better task deeper in another sibling's array;
+//!   it is kept so the committed artifacts stay byte-identical (see `o1.rs`).
+//!
+//! Neither scheduler allocates on its hot paths once its queues have grown
+//! to their working size; wake placement compares tasks through
+//! [`Scheduler::preempts`].
 //!
 //! The simulator is scheduler-agnostic: it talks through [`Scheduler`].
 

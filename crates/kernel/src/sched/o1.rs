@@ -1,10 +1,26 @@
 //! The O(1) scheduler (Ingo Molnar, adopted in 2.5; backported into RedHawk).
 //!
 //! Per-CPU runqueues, each with *active* and *expired* priority arrays of 140
-//! FIFO lists plus a find-first-bit bitmap: every operation is constant time.
+//! FIFO lists plus a find-first-bit bitmap. Enqueue, dequeue, the local pick
+//! and the active/expired swap are constant time: the swap flips an index,
+//! and each queued task's slot names its array by index, so no task moves.
 //! SCHED_OTHER tasks that exhaust a timeslice move to the expired array; when
 //! the active array drains, the arrays swap. Real-time tasks never expire.
-//! An idle CPU steals the best migratable task from its siblings.
+//!
+//! An idle CPU steals from its siblings. The rule, exactly: visit the other
+//! CPUs in index order, skipping any with fewer than two queued tasks; on
+//! each, walk the active array and then the expired one, visiting only the
+//! non-empty priority lists (the bitmap's set bits, ascending). A task is a
+//! candidate if its affinity allows the idle CPU and its priority is strictly
+//! better than the best candidate so far (ties keep the earlier one). Once a
+//! candidate exists, the walk of an array stops after the first non-empty
+//! list it visits. So a steal reads only non-empty lists, and after the
+//! first candidate at most one more per array.
+//!
+//! That early exit can miss a better eligible task deeper in another
+//! sibling's array: when that array's first non-empty list holds only tasks
+//! pinned elsewhere, the walk stops there. The rule is kept on purpose so the
+//! committed artifacts stay byte-identical; changing it changes the model.
 
 use super::{place_for_wake, CpuView, Scheduler};
 use crate::ids::Pid;
@@ -16,6 +32,7 @@ use sp_hw::CpuId;
 const NUM_PRIOS: usize = 140;
 
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct PrioArray {
     bitmap: [u64; 3],
     queues: Vec<std::collections::VecDeque<Pid>>,
@@ -96,29 +113,32 @@ impl PrioArray {
 }
 
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Runqueue {
-    active: PrioArray,
-    expired: PrioArray,
+    arrays: [PrioArray; 2],
+    /// Index of the active array in `arrays`; the other one is expired.
+    active: usize,
 }
 
 impl Clone for Runqueue {
     fn clone(&self) -> Self {
-        Runqueue { active: self.active.clone(), expired: self.expired.clone() }
+        Runqueue { arrays: self.arrays.clone(), active: self.active }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        self.active.clone_from(&source.active);
-        self.expired.clone_from(&source.expired);
+        self.arrays[0].clone_from(&source.arrays[0]);
+        self.arrays[1].clone_from(&source.arrays[1]);
+        self.active = source.active;
     }
 }
 
 impl Runqueue {
     fn new() -> Self {
-        Runqueue { active: PrioArray::new(), expired: PrioArray::new() }
+        Runqueue { arrays: [PrioArray::new(), PrioArray::new()], active: 0 }
     }
 
     fn len(&self) -> usize {
-        self.active.count + self.expired.count
+        self.arrays[0].count + self.arrays[1].count
     }
 }
 
@@ -127,10 +147,12 @@ impl Runqueue {
 struct Slot {
     cpu: u32,
     prio: u8,
-    expired: bool,
+    /// Index into the runqueue's `arrays`, so an array swap moves no slot.
+    array: u8,
 }
 
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct O1Scheduler {
     rqs: Vec<Runqueue>,
     /// pid -> queue slot, for O(1) removal. Dense by pid.
@@ -179,20 +201,19 @@ impl O1Scheduler {
         debug_assert!(self.slots[pid.index()].is_none(), "{pid} double-enqueued");
         let prio = tasks[pid.index()].effective_prio();
         let rq = &mut self.rqs[cpu.index()];
-        let array = if expired { &mut rq.expired } else { &mut rq.active };
+        let array = rq.active ^ expired as usize;
         if front {
-            array.push_front(prio, pid);
+            rq.arrays[array].push_front(prio, pid);
         } else {
-            array.push_back(prio, pid);
+            rq.arrays[array].push_back(prio, pid);
         }
-        self.slots[pid.index()] = Some(Slot { cpu: cpu.0, prio, expired });
+        self.slots[pid.index()] = Some(Slot { cpu: cpu.0, prio, array: array as u8 });
     }
 
     fn dequeue(&mut self, pid: Pid) -> bool {
         self.ensure(pid);
         if let Some(slot) = self.slots[pid.index()].take() {
-            let rq = &mut self.rqs[slot.cpu as usize];
-            let array = if slot.expired { &mut rq.expired } else { &mut rq.active };
+            let array = &mut self.rqs[slot.cpu as usize].arrays[slot.array as usize];
             let removed = array.remove(slot.prio, pid);
             debug_assert!(removed, "slot desync for {pid}");
             removed
@@ -221,15 +242,78 @@ impl O1Scheduler {
         }
     }
 
-    fn beats(&self, tasks: &[Task]) -> impl Fn(Pid, Pid) -> bool + '_ {
-        let prios: Vec<u8> = tasks.iter().map(|t| t.effective_prio()).collect();
-        move |a: Pid, b: Pid| prios[a.index()] < prios[b.index()]
+    /// Pop the best task of `cpu`'s own runqueue, swapping the arrays first
+    /// when only the expired one holds tasks.
+    fn pop_local(&mut self, cpu: CpuId) -> Option<Pid> {
+        let rq = &mut self.rqs[cpu.index()];
+        if rq.arrays[rq.active].count == 0 && rq.arrays[rq.active ^ 1].count > 0 {
+            rq.active ^= 1;
+        }
+        let active = &mut rq.arrays[rq.active];
+        let prio = active.peek_best_prio()?;
+        let pid = active.pop_front(prio).expect("bitmap said so");
+        self.slots[pid.index()] = None;
+        Some(pid)
+    }
+
+    /// The task an idle `cpu` steals, by the rule in the module doc. Only
+    /// the bitmap's set bits are visited; the labelled break leaves the
+    /// whole array, not just the current 64-bit word.
+    fn steal_candidate(&self, cpu: CpuId, tasks: &[Task]) -> Option<Pid> {
+        let mut best: Option<(Pid, usize)> = None;
+        for (other, rq) in self.rqs.iter().enumerate() {
+            if other == cpu.index() || rq.len() <= 1 {
+                continue;
+            }
+            for array in [&rq.arrays[rq.active], &rq.arrays[rq.active ^ 1]] {
+                'array: for (w, &word) in array.bitmap.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let p = w * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        for &pid in &array.queues[p] {
+                            if tasks[pid.index()].effective_affinity.contains(cpu)
+                                && best.is_none_or(|(_, bp)| p < bp)
+                            {
+                                best = Some((pid, p));
+                            }
+                        }
+                        if best.is_some() {
+                            break 'array;
+                        }
+                    }
+                }
+            }
+        }
+        best.map(|(pid, _)| pid)
+    }
+
+    /// `pick` with the steal search passed in, so tests can run the same
+    /// pick against a reference search.
+    fn pick_with(
+        &mut self,
+        cpu: CpuId,
+        tasks: &mut [Task],
+        steal: impl Fn(&Self, CpuId, &[Task]) -> Option<Pid>,
+    ) -> Option<Pid> {
+        let pid = match self.pop_local(cpu) {
+            Some(pid) => pid,
+            None => {
+                let pid = steal(self, cpu, tasks)?;
+                self.dequeue(pid);
+                pid
+            }
+        };
+        if tasks[pid.index()].timeslice.is_zero() {
+            tasks[pid.index()].timeslice = Self::timeslice_for(tasks[pid.index()].policy);
+        }
+        Some(pid)
     }
 }
 
 impl Scheduler for O1Scheduler {
     fn on_wake(&mut self, pid: Pid, tasks: &mut [Task], view: &CpuView<'_>) -> Option<CpuId> {
-        let (cpu, resched) = place_for_wake(pid, tasks, view, self.beats(tasks));
+        let (cpu, resched) = place_for_wake(pid, tasks, view, |a, b| self.preempts(a, b, tasks));
         if tasks[pid.index()].timeslice.is_zero() {
             tasks[pid.index()].timeslice = Self::timeslice_for(tasks[pid.index()].policy);
         }
@@ -266,53 +350,7 @@ impl Scheduler for O1Scheduler {
     }
 
     fn pick(&mut self, cpu: CpuId, tasks: &mut [Task]) -> Option<Pid> {
-        let rq = &mut self.rqs[cpu.index()];
-        if rq.active.count == 0 && rq.expired.count > 0 {
-            std::mem::swap(&mut rq.active, &mut rq.expired);
-            // Array swap flips the `expired` bit of every slot on this CPU.
-            for slot in self.slots.iter_mut().flatten() {
-                if slot.cpu == cpu.0 {
-                    slot.expired = !slot.expired;
-                }
-            }
-        }
-        if let Some(prio) = self.rqs[cpu.index()].active.peek_best_prio() {
-            let pid = self.rqs[cpu.index()].active.pop_front(prio).expect("bitmap said so");
-            self.slots[pid.index()] = None;
-            if tasks[pid.index()].timeslice.is_zero() {
-                tasks[pid.index()].timeslice = Self::timeslice_for(tasks[pid.index()].policy);
-            }
-            return Some(pid);
-        }
-        // Idle: steal the best migratable task from the busiest sibling.
-        let mut best: Option<(Pid, u8, usize)> = None;
-        for (other, rq) in self.rqs.iter().enumerate() {
-            if other == cpu.index() || rq.len() <= 1 {
-                continue;
-            }
-            for array in [&rq.active, &rq.expired] {
-                for (p, q) in array.queues.iter().enumerate() {
-                    for &pid in q {
-                        if tasks[pid.index()].effective_affinity.contains(cpu)
-                            && best.is_none_or(|(_, bp, _)| (p as u8) < bp)
-                        {
-                            best = Some((pid, p as u8, other));
-                        }
-                    }
-                    if best.is_some() && !q.is_empty() {
-                        break; // lists are priority-ordered; first hit per array wins
-                    }
-                }
-            }
-        }
-        if let Some((pid, _, _)) = best {
-            self.dequeue(pid);
-            if tasks[pid.index()].timeslice.is_zero() {
-                tasks[pid.index()].timeslice = Self::timeslice_for(tasks[pid.index()].policy);
-            }
-            return Some(pid);
-        }
-        None
+        self.pick_with(cpu, tasks, Self::steal_candidate)
     }
 
     fn pick_cost(&self, costs: &PreparedCosts, rng: &mut SimRng) -> Nanos {
@@ -354,7 +392,8 @@ impl Scheduler for O1Scheduler {
         if let Some(slot) = self.slots[pid.index()] {
             if !tasks[pid.index()].effective_affinity.contains(CpuId(slot.cpu)) {
                 self.dequeue(pid);
-                let (cpu, resched) = place_for_wake(pid, tasks, view, self.beats(tasks));
+                let (cpu, resched) =
+                    place_for_wake(pid, tasks, view, |a, b| self.preempts(a, b, tasks));
                 self.enqueue(pid, tasks, cpu, false, false);
                 return resched.then_some(cpu);
             }
@@ -372,7 +411,203 @@ mod tests {
     use super::super::testutil::make_tasks;
     use super::*;
     use crate::task::SchedPolicy;
+    use proptest::prelude::*;
     use sp_hw::CpuMask;
+
+    impl O1Scheduler {
+        /// Reference steal search: the linear walk over all 140 lists of
+        /// both arrays that the bitmap walk replaced. Same rule, same result.
+        fn steal_candidate_linear(&self, cpu: CpuId, tasks: &[Task]) -> Option<Pid> {
+            let mut best: Option<(Pid, u8)> = None;
+            for (other, rq) in self.rqs.iter().enumerate() {
+                if other == cpu.index() || rq.len() <= 1 {
+                    continue;
+                }
+                for array in [&rq.arrays[rq.active], &rq.arrays[rq.active ^ 1]] {
+                    for (p, q) in array.queues.iter().enumerate() {
+                        for &pid in q {
+                            if tasks[pid.index()].effective_affinity.contains(cpu)
+                                && best.is_none_or(|(_, bp)| (p as u8) < bp)
+                            {
+                                best = Some((pid, p as u8));
+                            }
+                        }
+                        if best.is_some() && !q.is_empty() {
+                            break; // lists are priority-ordered; first hit per array wins
+                        }
+                    }
+                }
+            }
+            best.map(|(pid, _)| pid)
+        }
+    }
+
+    /// A policy whose `effective_prio` is exactly `prio` (0–139). Built
+    /// from the variant so list 99 (`rt_prio` 0, which no real task uses)
+    /// is reachable too.
+    fn policy_at(prio: u8) -> SchedPolicy {
+        if prio < 100 {
+            SchedPolicy::Fifo { rt_prio: 99 - prio }
+        } else {
+            SchedPolicy::nice((prio as i16 - 120) as i8)
+        }
+    }
+
+    /// Queue one task per `(prio, cpu, affinity, expired, front)` entry
+    /// directly into the runqueues, after setting each CPU's active index.
+    fn build(
+        cpus: u32,
+        actives: &[usize],
+        queued: &[(u8, u32, u8, bool, bool)],
+    ) -> (O1Scheduler, Vec<Task>) {
+        let policies: Vec<SchedPolicy> = queued.iter().map(|q| policy_at(q.0)).collect();
+        let mut tasks = make_tasks(&policies);
+        let mut s = O1Scheduler::new(cpus);
+        for (rq, &active) in s.rqs.iter_mut().zip(actives) {
+            rq.active = active;
+        }
+        for (i, &(prio, cpu, affinity, expired, front)) in queued.iter().enumerate() {
+            let t = &mut tasks[i];
+            assert_eq!(t.effective_prio(), prio);
+            t.effective_affinity = CpuMask(affinity as u64 & ((1 << cpus) - 1));
+            s.enqueue(Pid(i as u32), &tasks, CpuId(cpu), front, expired);
+        }
+        (s, tasks)
+    }
+
+    fn timeslices(tasks: &[Task]) -> Vec<Nanos> {
+        tasks.iter().map(|t| t.timeslice).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The bitmap steal picks what the linear walk picks, and leaves the
+        /// scheduler and the tasks in the same state, pick after pick. Before
+        /// each pick both searches also run for every CPU, busy or not, so
+        /// the steal rule is compared on every state the picks pass through.
+        #[test]
+        fn bitmap_steal_matches_linear_walk(
+            cpus in 2u32..=4,
+            actives in proptest::collection::vec(0usize..2, 4),
+            queued in proptest::collection::vec(
+                ((0u8..140, 0u32..4, 1u8..16), (any::<bool>(), any::<bool>())),
+                0..24,
+            ),
+            picks in proptest::collection::vec(0u32..4, 1..32),
+        ) {
+            let queued: Vec<_> = queued
+                .into_iter()
+                .map(|((p, c, a), (e, f))| (p, c % cpus, a | 1 << (c % cpus), e, f))
+                .collect();
+            let (mut fast, mut fast_tasks) = build(cpus, &actives, &queued);
+            let (mut slow, mut slow_tasks) = (fast.clone(), fast_tasks.clone());
+            for cpu in picks.into_iter().map(|c| CpuId(c % cpus)) {
+                for idle in (0..cpus).map(CpuId) {
+                    prop_assert_eq!(
+                        fast.steal_candidate(idle, &fast_tasks),
+                        fast.steal_candidate_linear(idle, &fast_tasks)
+                    );
+                }
+                let got = fast.pick(cpu, &mut fast_tasks);
+                let want = slow.pick_with(cpu, &mut slow_tasks, O1Scheduler::steal_candidate_linear);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(&fast, &slow);
+                prop_assert_eq!(timeslices(&fast_tasks), timeslices(&slow_tasks));
+            }
+        }
+    }
+
+    #[test]
+    fn steal_walks_across_a_bitmap_word_boundary() {
+        // cpu1's first non-empty list (63, the last bit of word 0) holds
+        // only a task pinned to cpu1, so the walk goes on into word 1.
+        let (mut s, mut tasks) = build(2, &[0, 0], &[(63, 1, 0b10, false, false), (64, 1, 0b11, false, false)]);
+        assert_eq!(s.pick(CpuId(0), &mut tasks), Some(Pid(1)));
+    }
+
+    #[test]
+    fn steal_early_exit_leaves_the_whole_array() {
+        // cpu1 yields a prio-100 candidate. On cpu2 the first non-empty list
+        // (63) holds only a pinned task, so the walk of cpu2's active array
+        // stops there: the eligible prio-64 task in the next bitmap word is
+        // not considered. A break that left only the word would take it.
+        let queued = [
+            (100, 1, 0b011, false, false),
+            (120, 1, 0b011, false, false),
+            (63, 2, 0b100, false, false),
+            (64, 2, 0b101, false, false),
+        ];
+        let (mut s, mut tasks) = build(3, &[0, 0, 0], &queued);
+        assert_eq!(s.steal_candidate_linear(CpuId(0), &tasks), Some(Pid(0)));
+        assert_eq!(s.pick(CpuId(0), &mut tasks), Some(Pid(0)));
+    }
+
+    #[test]
+    fn steal_walks_the_active_array_before_the_expired_one() {
+        // cpu1 (arrays swapped, so expired is index 0): active holds an
+        // eligible prio-130 task; expired holds a pinned prio-5 task and an
+        // eligible prio-6 one. Walking active first finds 130, and the
+        // expired walk then stops at its first non-empty list (5).
+        let queued = [
+            (130, 1, 0b11, false, false),
+            (5, 1, 0b10, true, false),
+            (6, 1, 0b11, true, false),
+        ];
+        let (mut s, mut tasks) = build(2, &[0, 1], &queued);
+        assert_eq!(s.rqs[1].arrays[0].count, 2, "expired array is index 0");
+        assert_eq!(s.pick(CpuId(0), &mut tasks), Some(Pid(0)));
+    }
+
+    #[test]
+    fn steal_keeps_the_earlier_task_on_a_priority_tie() {
+        // Equal priorities on cpu1 and cpu2: strict `<` keeps cpu1's.
+        let queued = [
+            (120, 1, 0b111, false, false),
+            (130, 1, 0b111, false, false),
+            (120, 2, 0b111, false, false),
+            (130, 2, 0b111, false, false),
+        ];
+        let (mut s, mut tasks) = build(3, &[0, 0, 0], &queued);
+        assert_eq!(s.pick(CpuId(0), &mut tasks), Some(Pid(0)));
+    }
+
+    /// Two expired SCHED_OTHER tasks on cpu0; one pick swaps the arrays and
+    /// runs the first, leaving the second in the array that was expired.
+    fn swapped_with_one_queued() -> (O1Scheduler, Vec<Task>) {
+        let queued = [(120, 0, 0b11, true, false), (120, 0, 0b11, true, false)];
+        let (mut s, mut tasks) = build(2, &[0, 0], &queued);
+        assert_eq!(s.pick(CpuId(0), &mut tasks), Some(Pid(0)));
+        assert_eq!(s.rqs[0].active, 1, "arrays swapped");
+        assert_eq!(s.slots[1].map(|slot| slot.array), Some(1));
+        (s, tasks)
+    }
+
+    #[test]
+    fn dequeue_finds_its_task_after_an_array_swap() {
+        let (mut s, _) = swapped_with_one_queued();
+        assert!(s.dequeue(Pid(1)));
+        assert_eq!(s.queued_count(), 0);
+    }
+
+    #[test]
+    fn block_finds_its_task_after_an_array_swap() {
+        let (mut s, mut tasks) = swapped_with_one_queued();
+        s.on_block(Pid(1));
+        assert_eq!(s.queued_count(), 0);
+        assert_eq!(s.pick(CpuId(0), &mut tasks), None);
+    }
+
+    #[test]
+    fn affinity_change_finds_its_task_after_an_array_swap() {
+        let (mut s, mut tasks) = swapped_with_one_queued();
+        tasks[1].effective_affinity = CpuMask::single(CpuId(1));
+        let running = [Some(Pid(0)), None];
+        assert_eq!(s.on_affinity_change(Pid(1), &mut tasks, &view(&running)), Some(CpuId(1)));
+        assert_eq!(s.rqs[0].len(), 0);
+        assert_eq!(s.pick(CpuId(1), &mut tasks), Some(Pid(1)));
+        assert_eq!(s.queued_count(), 0);
+    }
 
     fn view<'a>(running: &'a [Option<Pid>]) -> CpuView<'a> {
         static ZEROS: [u64; 8] = [0; 8];
