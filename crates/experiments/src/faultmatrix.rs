@@ -17,24 +17,21 @@
 //! stays < 30 µs, and the mid-run reshield scenario recovers its bound in
 //! finite time. Violations are collected, not panicked, so the binary can
 //! print the whole matrix before failing.
+//!
+//! The matrix is a declaration: its four `(path, shielded)` groups are
+//! measured-path rigs (shielded, or pinned without a shield), and the
+//! crate's shared warm-fork matrix engine (the `rig` module) warms, forks
+//! and merges them. This module keeps only its group list, its report and
+//! cell types, and its bands.
 
+use crate::rig::{run_matrix, Group, MeasuredPath, Placement, Rig, MATRIX_PACE, MEASURED_CPU};
 use crate::scenario::{reshield_transient_scenario, run_scenario, RecoveryReport};
 use serde::{Deserialize, Serialize};
 use simcore::Nanos;
 use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, GpuDevice, NicDevice, OnOffPoisson, RcimDevice, RtcDevice};
-use sp_hw::{CpuId, CpuMask, MachineConfig};
-use sp_inject::{matrix_presets, Armory, FaultKind, FaultSpec};
-use sp_kernel::{
-    KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi,
-    WorstCaseTrace,
-};
-use sp_metrics::{LatencyHistogram, LatencySummary};
-use sp_workloads::{stress_kernel, ttcp_ethernet_profile, x11perf_driver, StressDevices};
-
-/// The CPU every cell binds its measured task and interrupt to (shared with
-/// the modern-isolation matrix in [`crate::modernmax`]).
-pub(crate) const MEASURED_CPU: CpuId = CpuId(1);
+use sp_inject::{matrix_presets, FaultSpec};
+use sp_kernel::{KernelConfig, KernelVariant, WorstCaseTrace};
+use sp_metrics::LatencySummary;
 
 /// Acceptance bands (see ISSUE/EXPERIMENTS.md).
 const DEGRADATION_FACTOR: u64 = 5;
@@ -92,10 +89,14 @@ impl MatrixPath {
         }
     }
 
-    fn period(self) -> Nanos {
+    /// The rig path: the fig-6 RTC at 2048 Hz, or the fig-7 RCIM at 1 kHz
+    /// behind a BKL-free driver (on the PCIe card when `modern_card`).
+    pub(crate) fn measured(self, modern_card: bool) -> MeasuredPath {
         match self {
-            MatrixPath::Realfeel => Nanos(1_000_000_000 / 2048),
-            MatrixPath::Rcim => Nanos::from_ms(1),
+            MatrixPath::Realfeel => MeasuredPath::Rtc { hz: 2048 },
+            MatrixPath::Rcim => {
+                MeasuredPath::Rcim { period: Nanos::from_ms(1), bkl_free: true, modern_card }
+            }
         }
     }
 }
@@ -191,390 +192,84 @@ impl FaultMatrixReport {
     }
 }
 
-/// Build one matrix simulation for a `(path, shielded)` group: full paper
-/// workload, the measured task pinned + watched, shield or IRQ affinity
-/// applied, and **every** matrix fault registered (disarmed). Registering
-/// the whole arsenal in every cell keeps the builds structurally identical —
-/// a warm [`sp_kernel::Checkpoint`] taken in one cell restores into any
-/// sibling cell's simulator — and a disarmed injector costs the hot loop
-/// nothing (its device schedules no events until armed).
-fn build_cell_sim(
-    path: MatrixPath,
-    faults: &[FaultSpec],
-    shielded: bool,
-    seed: u64,
-) -> (Simulator, Armory, sp_kernel::Pid) {
-    let (machine, variant) = match path {
-        MatrixPath::Realfeel => (MachineConfig::dual_xeon_p3(), KernelVariant::RedHawk),
-        MatrixPath::Rcim => (MachineConfig::dual_xeon_p4_2ghz(), KernelVariant::RedHawk),
-    };
-    let mut sim = Simulator::new(machine, KernelConfig::new(variant), seed);
-
-    let measured_dev = match path {
-        MatrixPath::Realfeel => {
-            let rtc = sim.add_device(RtcDevice::new(2048));
-            let nic = sim.add_device(NicDevice::new(Some(OnOffPoisson::continuous(
-                Nanos::from_ms(20),
-            ))));
-            let disk = sim.add_device(DiskDevice::new());
-            stress_kernel(&mut sim, StressDevices { nic, disk });
-            rtc
-        }
-        MatrixPath::Rcim => {
-            let rcim = sim.add_device(RcimDevice::new(Nanos::from_ms(1)));
-            let nic = sim.add_device(NicDevice::new(Some(ttcp_ethernet_profile())));
-            let disk = sim.add_device(DiskDevice::new());
-            sim.add_device(GpuDevice::x11perf());
-            stress_kernel(&mut sim, StressDevices { nic, disk });
-            x11perf_driver(&mut sim);
-            rcim
-        }
-    };
-
-    let mut armory = Armory::new();
-    for f in faults {
-        armory.register(&mut sim, &cell_fault(f, shielded)).expect("fault registers");
-    }
-
-    let api = match path {
-        MatrixPath::Realfeel => WaitApi::ReadDevice,
-        MatrixPath::Rcim => WaitApi::IoctlWait { driver_bkl_free: true },
-    };
-    let prog = Program::forever(vec![Op::WaitIrq { device: measured_dev, api }]);
-    let spec = TaskSpec::new("measured", SchedPolicy::fifo(90), prog)
-        .mlockall()
-        .pinned(CpuMask::single(MEASURED_CPU));
-    let pid = sim.spawn(spec);
-    sim.watch_latency(pid);
-    sim.start();
-
-    // Both cells bind the measured task and its interrupt to CPU 1; the
-    // shield is the only variable.
-    if shielded {
-        ShieldPlan::cpu(MEASURED_CPU)
-            .bind_task(pid)
-            .bind_irq(measured_dev)
-            .apply(&mut sim)
-            .expect("shield plan");
-    } else {
-        sim.set_irq_affinity(measured_dev, CpuMask::single(MEASURED_CPU))
-            .expect("irq affinity");
-    }
-    (sim, armory, pid)
-}
-
-/// Advance `sim` until the measured task has `samples` latency samples in
-/// total (warm-up samples restored from a checkpoint count toward the
-/// total). The starvation deadline is relative to the current instant so it
-/// works for both cold starts and mid-run forks; it is generous because
-/// faulted unshielded cells legitimately lose long stretches to the
-/// injector.
-pub(crate) fn collect_cell_samples(
-    sim: &mut Simulator,
-    pid: sp_kernel::Pid,
-    path: MatrixPath,
-    samples: u64,
-) {
-    let period = path.period();
-    let deadline = sim.now() + period.scale(64.0 * samples as f64);
-    loop {
-        let have = sim.obs.latencies(pid).len() as u64;
-        if have >= samples {
-            break;
-        }
-        assert!(sim.now() < deadline, "{} cell starved: {have} samples", path.name());
-        // Chunk size tracks the remaining budget (the healthy waiter samples
-        // about once per period) so small-budget runs don't overshoot by a
-        // whole maximum-size chunk. Chunking cannot affect the trajectory —
-        // it only decides where the event loop pauses.
-        let chunk = period * (samples - have).clamp(512, 16_384);
-        sim.run_for(chunk);
+/// The rig of one `(path, shielded)` group: the paper workload on RedHawk,
+/// the measured task and its interrupt on CPU 1 — shielded, or pinned
+/// without a shield — and every matrix fault registered disarmed.
+pub(crate) fn rig(path: MatrixPath, shielded: bool) -> Rig {
+    Rig {
+        path: path.measured(false),
+        kernel: KernelConfig::new(KernelVariant::RedHawk),
+        faults: matrix_presets(),
+        task: "measured",
+        placement: if shielded {
+            Placement::Shield(ShieldPlan::cpu(MEASURED_CPU))
+        } else {
+            Placement::Pinned(MEASURED_CPU)
+        },
+        pace: MATRIX_PACE,
     }
 }
 
-/// Per-cell fault adaptation: task faults pin onto the measured CPU in the
-/// unshielded cell (without a shield nothing keeps a rogue off your CPU) and
-/// float in the shielded cell (the shield strips them). Device faults are
-/// identical in both cells — affinity-stripping does all the work.
-pub(crate) fn cell_fault(spec: &FaultSpec, shielded: bool) -> FaultSpec {
-    let mut out = spec.clone();
-    if !shielded {
-        let measured = CpuMask::single(MEASURED_CPU).to_string();
-        match &mut out.kind {
-            FaultKind::LockHolder { pin, .. } | FaultKind::CpuHog { pin, .. } => {
-                *pin = Some(measured);
-            }
-            _ => {}
-        }
-    }
-    out
+/// The matrix's four `(path, shielded)` groups in report order.
+fn group_keys() -> impl Iterator<Item = (MatrixPath, bool)> {
+    MatrixPath::ALL.into_iter().flat_map(|path| [true, false].map(|shielded| (path, shielded)))
 }
 
-/// Deterministic per-group root seed (groups are independent experiments;
-/// each then applies the PR-1 shard-seed contract internally).
-pub(crate) fn cell_seed(base: u64, index: u64) -> u64 {
-    base ^ (index.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-/// The deterministic plan for one `(path, shielded)` group: per-shard seeds
-/// and budgets, all pure functions of `(cfg, group_index)` — the shared
-/// vocabulary of the serial `run_path_group` test path and the flattened
-/// all-groups-at-once matrix batch, which must produce identical cells.
-struct GroupPlan {
-    path: MatrixPath,
-    shielded: bool,
-    shards: usize,
-    seeds: Vec<u64>,
-    budgets: Vec<u64>,
-}
-
-fn plan_group(
-    cfg: &FaultMatrixConfig,
-    group_index: u64,
-    path: MatrixPath,
-    shielded: bool,
-) -> GroupPlan {
-    let group_seed = cell_seed(cfg.seed, group_index);
-    let shards = crate::shard::effective_shards(cfg.shards, cfg.samples_per_cell) as usize;
-    GroupPlan {
-        path,
-        shielded,
-        shards,
-        seeds: crate::shard::shard_seeds(group_seed, shards as u32),
-        budgets: crate::shard::split_samples(cfg.samples_per_cell, shards as u32),
-    }
-}
-
-/// A shard's warm state: checkpoint, events dispatched during the warm-up,
-/// and how many samples the warm-up actually collected.
-type WarmShard = (sp_kernel::Checkpoint, u64, u64);
-
-/// One cell-shard's output: histogram, event delta, captured flight traces.
-type CellShardOutput = (LatencyHistogram, u64, Vec<WorstCaseTrace>);
-
-/// Build one shard's simulation, warm it fault-free to a quarter of the
-/// shard budget, checkpoint.
-fn warm_shard(plan: &GroupPlan, faults: &[FaultSpec], shard: usize) -> WarmShard {
-    let (mut sim, _armory, pid) =
-        build_cell_sim(plan.path, faults, plan.shielded, plan.seeds[shard]);
-    collect_cell_samples(&mut sim, pid, plan.path, plan.budgets[shard] / 4);
-    let warm_len = sim.obs.latencies(pid).len() as u64;
-    (sim.checkpoint(), sim.events_dispatched(), warm_len)
-}
-
-/// Fork one `(cell, shard)` run from its shard's warm checkpoint: rebuild,
-/// restore, arm the cell's fault (baseline arms nothing), sample the rest of
-/// the budget.
-fn run_cell_shard(
-    plan: &GroupPlan,
-    faults: &[FaultSpec],
-    warm: &WarmShard,
-    cell: usize,
-    shard: usize,
-    flight_top_k: usize,
-) -> CellShardOutput {
-    let fault = if cell == 0 { None } else { Some(&faults[cell - 1]) };
-    let (ck, warm_events, warm_len) = warm;
-
-    let (mut sim, mut armory, pid) =
-        build_cell_sim(plan.path, faults, plan.shielded, plan.seeds[shard]);
-    sim.restore(ck);
-    if let Some(f) = fault {
-        armory.arm(&mut sim, &f.name).expect("arm");
-    }
-    // Arm after the restore so captured windows cover the forked stretch
-    // (pure observation — the cell's trajectory is unchanged).
-    if flight_top_k > 0 {
-        sim.arm_flight(flight_top_k);
-    }
-    // Post-fork target: the remaining three quarters of the budget on top
-    // of whatever the warm-up actually collected, so every cell samples
-    // its faulted regime even when the warm-up overshot its quarter.
-    let target = warm_len + (plan.budgets[shard] - plan.budgets[shard] / 4);
-    collect_cell_samples(&mut sim, pid, plan.path, target);
-
-    let mut histogram = LatencyHistogram::new();
-    for &l in sim.obs.latencies(pid) {
-        histogram.record(l);
-    }
-    // The shared warm-up's event work is accounted to the baseline cell
-    // only, so group event totals are not inflated per fork.
-    let events = sim.events_dispatched() - if cell == 0 { 0 } else { *warm_events };
-    (histogram, events, sim.flight.top().to_vec())
-}
-
-/// Merge one group's `cells × shards` outputs (laid out `cell * shards +
-/// shard`) into per-cell summaries, in cell order with shard-order trace
-/// merges — the deterministic final step shared by both execution paths.
-fn merge_group(
-    plan: &GroupPlan,
-    faults: &[FaultSpec],
-    outputs: &[CellShardOutput],
-    flight_top_k: usize,
-) -> (Vec<MatrixCell>, Vec<CellFlight>) {
-    let cell_count = faults.len() + 1;
-    debug_assert_eq!(outputs.len(), cell_count * plan.shards);
-    let mut cells = Vec::with_capacity(cell_count);
-    let mut flights = Vec::with_capacity(cell_count);
-    for cell in 0..cell_count {
-        let mut histogram = LatencyHistogram::new();
-        let mut events = 0u64;
-        let mut per_shard = Vec::with_capacity(plan.shards);
-        for shard in 0..plan.shards {
-            let (h, e, t) = &outputs[cell * plan.shards + shard];
-            histogram.merge(h);
-            events += e;
-            per_shard.push(t.clone());
-        }
-        let fault = if cell == 0 { "baseline".to_string() } else { faults[cell - 1].name.clone() };
-        cells.push(MatrixCell {
-            fault: fault.clone(),
-            path: plan.path.name().into(),
-            shielded: plan.shielded,
-            summary: LatencySummary::from_histogram(&histogram),
-            events,
-        });
-        flights.push(CellFlight {
-            fault,
-            path: plan.path.name().into(),
-            shielded: plan.shielded,
-            traces: crate::flight::merge_top(per_shard, flight_top_k),
-        });
-    }
-    (cells, flights)
-}
-
-/// Run all six cells of one `(path, shielded)` group — baseline + every
-/// fault — from shared warm checkpoints.
-///
-/// Per shard, one simulation is built and warmed (fault-free) to a quarter
-/// of the shard budget and checkpointed; every cell then forks from that
-/// checkpoint, arms its fault (baseline arms nothing), and runs on to the
-/// full budget. The warm-up is paid once per shard instead of once per cell,
-/// and all warms and `cells × shards` forks run on the fleet pool. Warm-up
-/// samples count toward every cell's histogram; they are drawn under exactly
-/// the cell's no-fault conditions, so the baseline percentiles the bands
-/// compare against are unaffected and the faulted cells' worst cases still
-/// come from their faulted stretches.
-///
-/// The production matrix runs all four groups through the flattened batch in
-/// [`run_fault_matrix_with_flight`]; this serial-per-group path is kept as
-/// the reference the tests compare that batch against, cell for cell.
-#[cfg_attr(not(test), allow(dead_code))]
-fn run_path_group(
-    cfg: &FaultMatrixConfig,
-    group_index: u64,
-    path: MatrixPath,
-    faults: &[FaultSpec],
-    shielded: bool,
-    flight_top_k: usize,
-) -> (Vec<MatrixCell>, Vec<CellFlight>) {
-    let plan = plan_group(cfg, group_index, path, shielded);
-    let checkpoints = crate::shard::run_indexed(plan.shards, |i| warm_shard(&plan, faults, i));
-    let cell_count = faults.len() + 1;
-    let outputs = crate::shard::run_indexed(cell_count * plan.shards, |j| {
-        let (cell, shard) = (j / plan.shards, j % plan.shards);
-        run_cell_shard(&plan, faults, &checkpoints[shard], cell, shard, flight_top_k)
-    });
-    merge_group(&plan, faults, &outputs, flight_top_k)
+/// The matrix's groups, planned from `cfg`.
+pub(crate) fn groups(cfg: &FaultMatrixConfig) -> Vec<Group> {
+    group_keys()
+        .enumerate()
+        .map(|(i, (path, shielded))| {
+            Group::plan(rig(path, shielded), cfg.seed, i as u64, cfg.samples_per_cell, cfg.shards)
+        })
+        .collect()
 }
 
 /// Run the full matrix: `(1 baseline + 5 faults) × 2 paths × 2 shield
-/// states` = 24 cells, plus the reshield-transient scenario, then check
-/// every band. Each `(path, shielded)` group warms once per shard and forks
-/// its six cells from the shared checkpoint (see `run_path_group`).
-pub fn run_fault_matrix(cfg: &FaultMatrixConfig) -> FaultMatrixReport {
-    run_fault_matrix_with_flight(cfg, 0).0
-}
-
-/// Phase-B job output for the flattened matrix batch.
-enum MatrixJobOut {
-    Cell(CellShardOutput),
-    Reshield(RecoveryReport),
-}
-
-/// [`run_fault_matrix`] with the flight recorder armed in every cell's
-/// forks: each cell additionally reports the causal windows behind its
-/// `top_k` worst samples *from the faulted (post-warm-up) stretch*. Warm-up
-/// samples restored from the shared checkpoint still count toward the cell
+/// states` = 24 cells plus the reshield-transient scenario, then check
+/// every band. With `top_k > 0` the flight recorder is armed in every
+/// cell's forks and each cell also reports the causal windows behind its
+/// `top_k` worst samples *from the forked (faulted) stretch*; the report is
+/// bit-identical either way. Warm-up samples still count toward the cell
 /// histograms, so a quiet cell's histogram max can predate its capture
-/// window; the faulted cells the bands judge take their worst case from the
-/// faulted stretch the recorder covers. The report itself is bit-identical
-/// to [`run_fault_matrix`]'s. With `top_k == 0` nothing is armed.
+/// window.
 ///
-/// Execution is flattened across the whole matrix rather than group by
-/// group: phase A warms every `(group, shard)` concurrently on the fleet,
-/// phase B runs all `groups × cells × shards` forks *plus* the reshield
-/// scenario as one batch, and phase C merges per group in index order — so
-/// the pool sees `4 × 6 × shards + 1` jobs at once instead of four serial
-/// six-job bursts, while every cell stays bit-identical to the serial
-/// `run_path_group` path (asserted in tests).
+/// Each `(path, shielded)` group warms once per shard, fault-free, to a
+/// quarter of the shard budget; every cell forks from that checkpoint, arms
+/// its fault (baseline arms nothing) and runs on to the full budget. All
+/// groups run flattened through the shared matrix engine, with the
+/// reshield scenario riding in the fork batch.
 pub fn run_fault_matrix_with_flight(
     cfg: &FaultMatrixConfig,
     top_k: usize,
 ) -> (FaultMatrixReport, Vec<CellFlight>) {
-    let faults = matrix_presets();
-    let plans: Vec<GroupPlan> = MatrixPath::ALL
-        .iter()
-        .flat_map(|&path| [true, false].map(|shielded| (path, shielded)))
-        .enumerate()
-        .map(|(group, (path, shielded))| plan_group(cfg, group as u64, path, shielded))
-        .collect();
-    let shards = plans[0].shards;
-    debug_assert!(plans.iter().all(|p| p.shards == shards));
+    let reshield = || {
+        run_scenario(&reshield_transient_scenario())
+            .expect("reshield scenario runs")
+            .recovery
+            .expect("reshield scenario requests a transient")
+    };
+    let (outcomes, reshield) = run_matrix(&groups(cfg), top_k, Some(&reshield));
 
-    // Phase A: every (group, shard) warm-up in one fleet batch.
-    let warm = crate::shard::run_indexed(plans.len() * shards, |j| {
-        warm_shard(&plans[j / shards], &faults, j % shards)
-    });
-
-    // Phase B: all groups' cells × shards plus the reshield scenario, one
-    // batch. The reshield job rides along so the pool's idle workers pick it
-    // up instead of it serializing after the cells.
-    let cell_count = faults.len() + 1;
-    let per_group = cell_count * shards;
-    let total = plans.len() * per_group;
-    let outputs = crate::shard::run_indexed(total + 1, |j| {
-        if j == total {
-            let reshield = run_scenario(&reshield_transient_scenario())
-                .expect("reshield scenario runs")
-                .recovery
-                .expect("reshield scenario requests a transient");
-            return MatrixJobOut::Reshield(reshield);
-        }
-        let (group, rem) = (j / per_group, j % per_group);
-        let (cell, shard) = (rem / shards, rem % shards);
-        MatrixJobOut::Cell(run_cell_shard(
-            &plans[group],
-            &faults,
-            &warm[group * shards + shard],
-            cell,
-            shard,
-            top_k,
-        ))
-    });
-
-    // Phase C: merge each group's cells in index order.
-    let mut cell_outs: Vec<CellShardOutput> = Vec::with_capacity(total);
-    let mut reshield = None;
-    for out in outputs {
-        match out {
-            MatrixJobOut::Cell(c) => cell_outs.push(c),
-            MatrixJobOut::Reshield(r) => reshield = Some(r),
-        }
-    }
     let mut cells = Vec::new();
     let mut flights = Vec::new();
-    for (group, plan) in plans.iter().enumerate() {
-        let slice = &cell_outs[group * per_group..(group + 1) * per_group];
-        let (group_cells, group_flights) = merge_group(plan, &faults, slice, top_k);
-        cells.extend(group_cells);
-        flights.extend(group_flights);
+    for ((path, shielded), group_cells) in group_keys().zip(outcomes) {
+        for c in group_cells {
+            let (fault, path) = (c.fault, path.name().to_string());
+            cells.push(MatrixCell {
+                fault: fault.clone(),
+                path: path.clone(),
+                shielded,
+                summary: c.summary,
+                events: c.events,
+            });
+            flights.push(CellFlight { fault, path, shielded, traces: c.traces });
+        }
     }
     let reshield = reshield.expect("reshield job ran");
 
     let mut report = FaultMatrixReport { config: cfg.clone(), cells, reshield, violations: vec![] };
-    report.violations = check_bands(&report, &faults);
+    report.violations = check_bands(&report, &matrix_presets());
     (report, flights)
 }
 
@@ -634,12 +329,13 @@ fn check_bands(report: &FaultMatrixReport, faults: &[FaultSpec]) -> Vec<String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rig::{run_group_serial, CellOutcome};
 
     /// The smoke-scale matrix — the same configuration CI runs via
     /// `fault_matrix -- 0.02` — must hold every band.
     #[test]
     fn smoke_matrix_holds_every_band() {
-        let report = run_fault_matrix(&FaultMatrixConfig::scaled(0.02));
+        let report = run_fault_matrix_with_flight(&FaultMatrixConfig::scaled(0.02), 0).0;
         assert_eq!(report.cells.len(), 24);
         assert!(
             report.violations.is_empty(),
@@ -650,70 +346,19 @@ mod tests {
     }
 
     /// The warm-fork group path is deterministic: two runs of the same group
-    /// produce bit-identical summaries and event counts for all six cells.
+    /// produce bit-identical summaries and event counts for all six cells,
+    /// with or without flight capture.
     #[test]
     fn forked_groups_are_deterministic_across_runs() {
-        let cfg = FaultMatrixConfig { samples_per_cell: 1_200, shards: 1, seed: 0xFA17_5EED };
-        let faults = matrix_presets();
-        let (a, _) = run_path_group(&cfg, 1, MatrixPath::Rcim, &faults, true, 0);
-        let (b, flights) = run_path_group(&cfg, 1, MatrixPath::Rcim, &faults, true, 1);
-        assert_eq!(flights.len(), faults.len() + 1);
-        assert!(flights.iter().all(|f| !f.traces.is_empty()), "every cell captured a worst window");
-        assert_eq!(a.len(), faults.len() + 1);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-    }
-
-    /// The flattened all-groups batch (phase A warms, phase B cells +
-    /// reshield, phase C merge) must produce exactly the cells the serial
-    /// group-by-group reference path produces — whatever the worker count.
-    #[test]
-    fn flattened_matrix_matches_group_by_group() {
-        let cfg = FaultMatrixConfig { samples_per_cell: 800, shards: 2, seed: 0xFA17_5EED };
-        let faults = matrix_presets();
-        let mut expected = Vec::new();
-        let mut group = 0u64;
-        for path in MatrixPath::ALL {
-            for shielded in [true, false] {
-                expected.extend(run_path_group(&cfg, group, path, &faults, shielded, 0).0);
-                group += 1;
-            }
-        }
-        let (report, _) = run_fault_matrix_with_flight(&cfg, 0);
-        assert_eq!(
-            serde_json::to_string(&report.cells).unwrap(),
-            serde_json::to_string(&expected).unwrap()
-        );
-    }
-
-    /// Tentpole acceptance: a cell forked from a warm checkpoint — rebuild,
-    /// restore, arm — is bit-identical to continuing the warm simulation and
-    /// arming the same fault there, latencies, clock and event count alike.
-    #[test]
-    fn forked_cell_is_bit_identical_to_continuing_the_warm_sim() {
-        let faults = matrix_presets();
-        let seed = 0xFA17_5EED;
-        let path = MatrixPath::Realfeel;
-
-        let (mut warm, mut warm_armory, pid) = build_cell_sim(path, &faults, false, seed);
-        collect_cell_samples(&mut warm, pid, path, 400);
-        let ck = warm.checkpoint();
-
-        let (mut fork, mut fork_armory, fork_pid) = build_cell_sim(path, &faults, false, seed);
-        fork.restore(&ck);
-        assert_eq!(fork_pid, pid);
-        assert_eq!(fork.now(), warm.now());
-
-        let name = &faults[0].name;
-        warm_armory.arm(&mut warm, name).expect("arm warm");
-        fork_armory.arm(&mut fork, name).expect("arm fork");
-        collect_cell_samples(&mut warm, pid, path, 1_200);
-        collect_cell_samples(&mut fork, fork_pid, path, 1_200);
-
-        assert_eq!(warm.now(), fork.now());
-        assert_eq!(warm.events_dispatched(), fork.events_dispatched());
-        assert_eq!(warm.obs.latencies(pid), fork.obs.latencies(fork_pid));
+        let group = Group::plan(rig(MatrixPath::Rcim, true), 0xFA17_5EED, 1, 1_200, 1);
+        let a = run_group_serial(&group, 0);
+        let b = run_group_serial(&group, 1);
+        assert_eq!(b.len(), matrix_presets().len() + 1);
+        assert!(b.iter().all(|c| !c.traces.is_empty()), "every cell captured a worst window");
+        let rows = |cells: &[CellOutcome]| {
+            let rows: Vec<_> = cells.iter().map(|c| (&c.fault, &c.summary, c.events)).collect();
+            serde_json::to_string(&rows).unwrap()
+        };
+        assert_eq!(rows(&a), rows(&b));
     }
 }

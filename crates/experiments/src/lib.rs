@@ -12,8 +12,11 @@
 //! | Fig. 6 | [`realfeel`] (`fig6_redhawk_shielded`) | max 0.565 ms |
 //! | Fig. 7 | [`rcim`] (`fig7_redhawk_shielded`) | min 11 µs, max 27 µs |
 //!
-//! [`runner::run_all_figures`] executes the whole suite (in parallel);
-//! [`report`] renders paper-style text figures.
+//! [`runner::run_all_figures_flight`] executes the whole suite (in
+//! parallel); [`report`] renders paper-style text figures. Every latency
+//! experiment — the figures, the fault and modern matrices and the sweep —
+//! builds its simulation from one measured-path declaration and forks it
+//! through one warm-then-fork step (the crate-private `rig` module).
 
 pub mod autopilot;
 pub mod determinism;
@@ -25,6 +28,7 @@ pub mod rcim;
 pub mod realfeel;
 pub mod replication;
 pub mod report;
+mod rig;
 pub mod runner;
 pub mod scenario;
 pub mod shard;
@@ -46,17 +50,13 @@ pub use replication::{
     replicate_determinism, replicate_rcim_max, replicate_realfeel_max, Replicated,
 };
 pub use faultmatrix::{
-    run_fault_matrix, run_fault_matrix_with_flight, CellFlight, FaultMatrixConfig,
-    FaultMatrixReport, MatrixCell,
+    run_fault_matrix_with_flight, CellFlight, FaultMatrixConfig, FaultMatrixReport, MatrixCell,
 };
 pub use modernmax::{
-    run_modern_matrix, run_modern_matrix_with_flight, ModernCell, ModernCellFlight, ModernConfig,
-    ModernReport, ModernVariant, MODERN_RCIM_BOUND,
+    run_modern_matrix_with_flight, ModernCell, ModernCellFlight, ModernConfig, ModernReport,
+    ModernVariant, MODERN_RCIM_BOUND,
 };
-pub use runner::{
-    run_all_figures, run_all_figures_flight, run_all_figures_with, FigureSuite, FigureTiming,
-    SuiteFlight, SuiteTimings,
-};
+pub use runner::{run_all_figures_flight, FigureSuite, FigureTiming, SuiteFlight, SuiteTimings};
 pub use scenario::{
     run_scenario, run_scenario_sharded, MeasuredResult, RecoveryReport, ScenarioError,
     ScenarioReport, ScenarioSpec,

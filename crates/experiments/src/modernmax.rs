@@ -17,34 +17,32 @@
 //! elided whenever the shielded CPU is quiescent, so the knob (not the ltmrs
 //! mask) is what earns the quiet CPU. `modern-all` additionally swaps in
 //! [`sp_kernel::KernelCosts::modern`]-calibrated path costs, near-zero memory
-//! contention, and a PCIe-attached RCIM ([`RcimDevice::modern`]) whose acks
-//! are tens of nanoseconds — the configuration the sub-half-microsecond
-//! acceptance band judges.
+//! contention, and a PCIe-attached RCIM
+//! ([`sp_devices::RcimDevice::modern`]) whose acks are tens of nanoseconds —
+//! the configuration the sub-half-microsecond acceptance band judges.
 //!
 //! Bands (one-sided, checked per cell over baseline + all five faults):
 //! classic-generation variants must stay inside the paper's bounds
 //! (realfeel < 1 ms, RCIM < 30 µs); `modern-all` must close the RCIM
 //! worst case under **500 ns** while its realfeel path stays < 1 ms.
 //!
-//! Execution reuses the fault matrix's warm-fork machinery: per
-//! `(variant, path)` group one simulation is warmed fault-free per shard and
-//! checkpointed; all six cells fork from it. All groups' warms and forks run
-//! flattened on the fleet pool, and every cell is bit-identical whatever the
-//! worker count.
+//! The matrix is a declaration over the same warm-fork matrix engine as
+//! [`crate::faultmatrix`] (the crate's `rig` module): each `(variant,
+//! path)` group is a measured-path rig whose shield shape carries the
+//! variant's `keep_local_timer`/`fence_kthreads`. Per group one simulation
+//! is warmed fault-free per shard and checkpointed; all six cells fork from
+//! it. All groups' warms and forks run flattened on the fleet pool, and
+//! every cell is bit-identical whatever the worker count. This module keeps
+//! only its group list, its report and cell types, and its bands.
 
-use crate::faultmatrix::{cell_fault, cell_seed, collect_cell_samples, MatrixPath, MEASURED_CPU};
+use crate::faultmatrix::MatrixPath;
+use crate::rig::{run_matrix, Group, Placement, Rig, MATRIX_PACE, MEASURED_CPU};
 use serde::{Deserialize, Serialize};
 use simcore::Nanos;
 use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, GpuDevice, NicDevice, OnOffPoisson, RcimDevice, RtcDevice};
-use sp_hw::MachineConfig;
-use sp_inject::{matrix_presets, Armory, FaultSpec};
-use sp_kernel::{
-    KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi,
-    WorstCaseTrace,
-};
-use sp_metrics::{LatencyHistogram, LatencySummary};
-use sp_workloads::{stress_kernel, ttcp_ethernet_profile, x11perf_driver, StressDevices};
+use sp_inject::matrix_presets;
+use sp_kernel::{KernelConfig, KernelVariant, WorstCaseTrace};
+use sp_metrics::LatencySummary;
 
 /// Acceptance bands (see docs/EXPERIMENTS.md).
 const REALFEEL_BOUND: Nanos = Nanos::from_ms(1);
@@ -219,232 +217,66 @@ impl ModernReport {
     }
 }
 
-/// Build one cell simulation: the fault matrix's full paper workload on this
-/// variant's kernel, the measured task bound into the variant's shield, and
-/// every fault registered (disarmed) so checkpoints restore across cells.
-fn build_variant_sim(
-    variant: ModernVariant,
-    path: MatrixPath,
-    faults: &[FaultSpec],
-    seed: u64,
-) -> (Simulator, Armory, sp_kernel::Pid) {
-    let machine = match path {
-        MatrixPath::Realfeel => MachineConfig::dual_xeon_p3(),
-        MatrixPath::Rcim => MachineConfig::dual_xeon_p4_2ghz(),
-    };
-    let mut sim = Simulator::new(machine, variant.kernel_config(), seed);
-
-    let measured_dev = match path {
-        MatrixPath::Realfeel => {
-            let rtc = sim.add_device(RtcDevice::new(2048));
-            let nic = sim.add_device(NicDevice::new(Some(OnOffPoisson::continuous(
-                Nanos::from_ms(20),
-            ))));
-            let disk = sim.add_device(DiskDevice::new());
-            stress_kernel(&mut sim, StressDevices { nic, disk });
-            rtc
-        }
-        MatrixPath::Rcim => {
-            let rcim = match variant {
-                ModernVariant::ModernAll => sim.add_device(RcimDevice::modern(Nanos::from_ms(1))),
-                _ => sim.add_device(RcimDevice::new(Nanos::from_ms(1))),
-            };
-            let nic = sim.add_device(NicDevice::new(Some(ttcp_ethernet_profile())));
-            let disk = sim.add_device(DiskDevice::new());
-            sim.add_device(GpuDevice::x11perf());
-            stress_kernel(&mut sim, StressDevices { nic, disk });
-            x11perf_driver(&mut sim);
-            rcim
-        }
-    };
-
-    let mut armory = Armory::new();
-    for f in faults {
-        // Shielded-cell fault shape: task faults float (the shield strips
-        // them), device faults keep default affinity.
-        armory.register(&mut sim, &cell_fault(f, true)).expect("fault registers");
-    }
-
-    let api = match path {
-        MatrixPath::Realfeel => WaitApi::ReadDevice,
-        MatrixPath::Rcim => WaitApi::IoctlWait { driver_bkl_free: true },
-    };
-    let prog = Program::forever(vec![Op::WaitIrq { device: measured_dev, api }]);
-    let spec = TaskSpec::new("measured", SchedPolicy::fifo(90), prog)
-        .mlockall()
-        .pinned(sp_hw::CpuMask::single(MEASURED_CPU));
-    let pid = sim.spawn(spec);
-    sim.watch_latency(pid);
-    sim.start();
-
-    let mut plan = ShieldPlan::cpu(MEASURED_CPU).bind_task(pid).bind_irq(measured_dev);
+/// The rig of one `(variant, path)` group: the fault matrix's paper
+/// workload on this variant's kernel (and, for `modern-all`, the PCIe RCIM
+/// card), the measured task and its interrupt bound into the variant's
+/// shield shape, every matrix fault registered disarmed.
+pub(crate) fn rig(variant: ModernVariant, path: MatrixPath) -> Rig {
+    let mut shield = ShieldPlan::cpu(MEASURED_CPU);
     match variant {
         ModernVariant::Classic24 | ModernVariant::ThreadedIrq => {}
-        ModernVariant::NohzFull => plan = plan.keep_local_timer(),
-        ModernVariant::KthreadIso => plan = plan.fence_kthreads(),
-        ModernVariant::ModernAll => plan = plan.keep_local_timer().fence_kthreads(),
+        ModernVariant::NohzFull => shield = shield.keep_local_timer(),
+        ModernVariant::KthreadIso => shield = shield.fence_kthreads(),
+        ModernVariant::ModernAll => shield = shield.keep_local_timer().fence_kthreads(),
     }
-    plan.apply(&mut sim).expect("shield plan");
-    (sim, armory, pid)
-}
-
-/// The deterministic plan for one `(variant, path)` group.
-struct GroupPlan {
-    variant: ModernVariant,
-    path: MatrixPath,
-    shards: usize,
-    seeds: Vec<u64>,
-    budgets: Vec<u64>,
-}
-
-fn plan_group(
-    cfg: &ModernConfig,
-    group_index: u64,
-    variant: ModernVariant,
-    path: MatrixPath,
-) -> GroupPlan {
-    let group_seed = cell_seed(cfg.seed, group_index);
-    let shards = crate::shard::effective_shards(cfg.shards, cfg.samples_per_cell) as usize;
-    GroupPlan {
-        variant,
-        path,
-        shards,
-        seeds: crate::shard::shard_seeds(group_seed, shards as u32),
-        budgets: crate::shard::split_samples(cfg.samples_per_cell, shards as u32),
+    Rig {
+        path: path.measured(variant == ModernVariant::ModernAll),
+        kernel: variant.kernel_config(),
+        faults: matrix_presets(),
+        task: "measured",
+        placement: Placement::Shield(shield),
+        pace: MATRIX_PACE,
     }
 }
 
-type WarmShard = (sp_kernel::Checkpoint, u64, u64);
-type CellShardOutput = (LatencyHistogram, u64, Vec<WorstCaseTrace>);
-
-/// Build one shard's simulation, warm it fault-free to a quarter of the
-/// shard budget, checkpoint (same contract as the fault matrix).
-fn warm_shard(plan: &GroupPlan, faults: &[FaultSpec], shard: usize) -> WarmShard {
-    let (mut sim, _armory, pid) =
-        build_variant_sim(plan.variant, plan.path, faults, plan.seeds[shard]);
-    collect_cell_samples(&mut sim, pid, plan.path, plan.budgets[shard] / 4);
-    let warm_len = sim.obs.latencies(pid).len() as u64;
-    (sim.checkpoint(), sim.events_dispatched(), warm_len)
+/// The matrix's ten `(variant, path)` groups in report order.
+fn group_keys() -> impl Iterator<Item = (ModernVariant, MatrixPath)> {
+    ModernVariant::ALL.into_iter().flat_map(|variant| MatrixPath::ALL.map(|path| (variant, path)))
 }
 
-/// Fork one `(cell, shard)` run from its shard's warm checkpoint.
-fn run_cell_shard(
-    plan: &GroupPlan,
-    faults: &[FaultSpec],
-    warm: &WarmShard,
-    cell: usize,
-    shard: usize,
-    flight_top_k: usize,
-) -> CellShardOutput {
-    let fault = if cell == 0 { None } else { Some(&faults[cell - 1]) };
-    let (ck, warm_events, warm_len) = warm;
-
-    let (mut sim, mut armory, pid) =
-        build_variant_sim(plan.variant, plan.path, faults, plan.seeds[shard]);
-    sim.restore(ck);
-    if let Some(f) = fault {
-        armory.arm(&mut sim, &f.name).expect("arm");
-    }
-    if flight_top_k > 0 {
-        sim.arm_flight(flight_top_k);
-    }
-    let target = warm_len + (plan.budgets[shard] - plan.budgets[shard] / 4);
-    collect_cell_samples(&mut sim, pid, plan.path, target);
-
-    let mut histogram = LatencyHistogram::new();
-    for &l in sim.obs.latencies(pid) {
-        histogram.record(l);
-    }
-    let events = sim.events_dispatched() - if cell == 0 { 0 } else { *warm_events };
-    (histogram, events, sim.flight.top().to_vec())
-}
-
-/// Merge one group's `cells × shards` outputs into per-cell summaries.
-fn merge_group(
-    plan: &GroupPlan,
-    faults: &[FaultSpec],
-    outputs: &[CellShardOutput],
-    flight_top_k: usize,
-) -> (Vec<ModernCell>, Vec<ModernCellFlight>) {
-    let cell_count = faults.len() + 1;
-    debug_assert_eq!(outputs.len(), cell_count * plan.shards);
-    let mut cells = Vec::with_capacity(cell_count);
-    let mut flights = Vec::with_capacity(cell_count);
-    for cell in 0..cell_count {
-        let mut histogram = LatencyHistogram::new();
-        let mut events = 0u64;
-        let mut per_shard = Vec::with_capacity(plan.shards);
-        for shard in 0..plan.shards {
-            let (h, e, t) = &outputs[cell * plan.shards + shard];
-            histogram.merge(h);
-            events += e;
-            per_shard.push(t.clone());
-        }
-        let fault = if cell == 0 { "baseline".to_string() } else { faults[cell - 1].name.clone() };
-        cells.push(ModernCell {
-            variant: plan.variant.name().into(),
-            fault: fault.clone(),
-            path: plan.path.name().into(),
-            summary: LatencySummary::from_histogram(&histogram),
-            events,
-        });
-        flights.push(ModernCellFlight {
-            variant: plan.variant.name().into(),
-            fault,
-            path: plan.path.name().into(),
-            traces: crate::flight::merge_top(per_shard, flight_top_k),
-        });
-    }
-    (cells, flights)
+/// The matrix's groups, planned from `cfg`.
+pub(crate) fn groups(cfg: &ModernConfig) -> Vec<Group> {
+    group_keys()
+        .enumerate()
+        .map(|(i, (variant, path))| {
+            Group::plan(rig(variant, path), cfg.seed, i as u64, cfg.samples_per_cell, cfg.shards)
+        })
+        .collect()
 }
 
 /// Run the whole matrix: `5 variants × 2 paths × (1 baseline + 5 faults)` =
-/// 60 cells, then check every band.
-pub fn run_modern_matrix(cfg: &ModernConfig) -> ModernReport {
-    run_modern_matrix_with_flight(cfg, 0).0
-}
-
-/// [`run_modern_matrix`] with the flight recorder armed in every cell's
-/// forks. Execution is flattened: phase A warms every `(group, shard)`
-/// concurrently, phase B runs all `groups × cells × shards` forks as one
-/// batch, phase C merges in index order — bit-identical whatever the worker
-/// count.
+/// 60 cells through the shared matrix engine, then check every band. With
+/// `top_k > 0` the flight recorder is armed in every cell's forks; the
+/// report is bit-identical either way and whatever the worker count.
 pub fn run_modern_matrix_with_flight(
     cfg: &ModernConfig,
     top_k: usize,
 ) -> (ModernReport, Vec<ModernCellFlight>) {
-    let faults = matrix_presets();
-    let plans: Vec<GroupPlan> = ModernVariant::ALL
-        .iter()
-        .flat_map(|&variant| MatrixPath::ALL.map(|path| (variant, path)))
-        .enumerate()
-        .map(|(group, (variant, path))| plan_group(cfg, group as u64, variant, path))
-        .collect();
-    let shards = plans[0].shards;
-    debug_assert!(plans.iter().all(|p| p.shards == shards));
-
-    // Phase A: every (group, shard) warm-up in one fleet batch.
-    let warm = crate::shard::run_indexed(plans.len() * shards, |j| {
-        warm_shard(&plans[j / shards], &faults, j % shards)
-    });
-
-    // Phase B: all groups' cells × shards, one batch.
-    let cell_count = faults.len() + 1;
-    let per_group = cell_count * shards;
-    let outputs = crate::shard::run_indexed(plans.len() * per_group, |j| {
-        let (group, rem) = (j / per_group, j % per_group);
-        let (cell, shard) = (rem / shards, rem % shards);
-        run_cell_shard(&plans[group], &faults, &warm[group * shards + shard], cell, shard, top_k)
-    });
-
-    // Phase C: merge each group's cells in index order.
+    let (outcomes, _) = run_matrix::<()>(&groups(cfg), top_k, None);
     let mut cells = Vec::new();
     let mut flights = Vec::new();
-    for (group, plan) in plans.iter().enumerate() {
-        let slice = &outputs[group * per_group..(group + 1) * per_group];
-        let (group_cells, group_flights) = merge_group(plan, &faults, slice, top_k);
-        cells.extend(group_cells);
-        flights.extend(group_flights);
+    for ((variant, path), group_cells) in group_keys().zip(outcomes) {
+        for c in group_cells {
+            let (variant, path) = (variant.name().to_string(), path.name().to_string());
+            cells.push(ModernCell {
+                variant: variant.clone(),
+                fault: c.fault.clone(),
+                path: path.clone(),
+                summary: c.summary,
+                events: c.events,
+            });
+            flights.push(ModernCellFlight { variant, fault: c.fault, path, traces: c.traces });
+        }
     }
 
     let mut report = ModernReport { config: cfg.clone(), cells, violations: vec![] };
@@ -481,7 +313,7 @@ mod tests {
     /// band, including the 500 ns modern-all RCIM ceiling.
     #[test]
     fn smoke_modern_matrix_holds_every_band() {
-        let report = run_modern_matrix(&ModernConfig::scaled(0.02));
+        let report = run_modern_matrix_with_flight(&ModernConfig::scaled(0.02), 0).0;
         assert_eq!(report.cells.len(), 60);
         assert!(
             report.violations.is_empty(),
@@ -518,46 +350,6 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             assert_eq!(t(&got.1), t(&reference.1), "workers={workers} traces");
-        }
-    }
-
-    /// A modern-all cell forked from a warm checkpoint is bit-identical to
-    /// continuing the warm simulation — the three knobs all survive
-    /// checkpoint/restore.
-    #[test]
-    fn modern_fork_is_bit_identical_to_continuation() {
-        let faults = matrix_presets();
-        let seed = 0xA0DE_125EED;
-        for variant in ModernVariant::ALL {
-            let (mut warm, mut warm_armory, pid) =
-                build_variant_sim(variant, MatrixPath::Rcim, &faults, seed);
-            collect_cell_samples(&mut warm, pid, MatrixPath::Rcim, 300);
-            let ck = warm.checkpoint();
-
-            let (mut fork, mut fork_armory, fork_pid) =
-                build_variant_sim(variant, MatrixPath::Rcim, &faults, seed);
-            fork.restore(&ck);
-            assert_eq!(fork.now(), warm.now(), "{}", variant.name());
-
-            let name = &faults[0].name;
-            warm_armory.arm(&mut warm, name).expect("arm warm");
-            fork_armory.arm(&mut fork, name).expect("arm fork");
-            collect_cell_samples(&mut warm, pid, MatrixPath::Rcim, 900);
-            collect_cell_samples(&mut fork, fork_pid, MatrixPath::Rcim, 900);
-
-            assert_eq!(warm.now(), fork.now(), "{}", variant.name());
-            assert_eq!(
-                warm.events_dispatched(),
-                fork.events_dispatched(),
-                "{}",
-                variant.name()
-            );
-            assert_eq!(
-                warm.obs.latencies(pid),
-                fork.obs.latencies(fork_pid),
-                "{}",
-                variant.name()
-            );
         }
     }
 }

@@ -6,18 +6,14 @@
 //! 92.3 ms); Figure 6 is RedHawk with the RTC interrupt and realfeel bound to
 //! a fully shielded CPU (worst case 0.565 ms, dominated by the read() exit
 //! path's file-layer lock).
+//!
+//! The run is a `Rig` declaration (`RealfeelConfig::rig`); building,
+//! sampling and the sharded warm-then-fork path live in the `rig` module.
 
+use crate::rig::{MeasuredPath, Placement, Rig, Shot, REALFEEL_PACE};
 use serde::{Deserialize, Serialize};
-use simcore::Nanos;
-use sp_core::ShieldPlan;
-use sp_devices::{DiskDevice, NicDevice, OnOffPoisson, RtcDevice};
-use sp_hw::{CpuId, CpuMask, MachineConfig};
-use sp_kernel::{
-    KernelConfig, KernelVariant, Op, Program, SchedPolicy, Simulator, TaskSpec, WaitApi,
-    WorstCaseTrace,
-};
+use sp_kernel::{KernelConfig, KernelVariant, WorstCaseTrace};
 use sp_metrics::{CumulativeReport, LatencyHistogram, LatencySummary};
-use sp_workloads::{stress_kernel, StressDevices};
 
 /// Configuration of one realfeel run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,6 +86,19 @@ impl RealfeelConfig {
             None => format!("{} (realfeel, unshielded)", self.variant),
         }
     }
+
+    /// The measured-path rig of this run: realfeel on the RTC, bound into a
+    /// full shield of `shield` when set.
+    pub(crate) fn rig(&self) -> Rig {
+        Rig {
+            path: MeasuredPath::Rtc { hz: self.rtc_hz },
+            kernel: KernelConfig::new(self.variant),
+            faults: Vec::new(),
+            task: "realfeel",
+            placement: Placement::figure(self.shield),
+            pace: REALFEEL_PACE,
+        }
+    }
 }
 
 /// Output of one realfeel run.
@@ -106,176 +115,12 @@ pub struct RealfeelResult {
     pub events: u64,
 }
 
-pub(crate) struct ShardOutput {
-    pub(crate) histogram: LatencyHistogram,
-    pub(crate) overruns: u64,
-    pub(crate) events: u64,
-    /// Worst-case windows captured by this shard's flight recorder (empty
-    /// when the run is not capturing).
-    pub(crate) traces: Vec<WorstCaseTrace>,
-}
-
-/// Build a ready-to-sample realfeel simulation: devices, stress kernel, the
-/// measured task, shield applied. Deterministic per `(cfg, seed)`, so two
-/// calls build interchangeable simulators — the property warm-checkpoint
-/// forking relies on.
-fn build_realfeel_sim(cfg: &RealfeelConfig, seed: u64) -> (Simulator, sp_kernel::Pid) {
-    let machine = MachineConfig::dual_xeon_p3();
-    let mut sim = Simulator::new(machine, KernelConfig::new(cfg.variant), seed);
-
-    let rtc = sim.add_device(RtcDevice::new(cfg.rtc_hz));
-    // §6.1: no generated Ethernet load, but the box stays on a live network
-    // segment handling broadcast traffic.
-    let nic = sim.add_device(NicDevice::new(Some(OnOffPoisson::continuous(
-        Nanos::from_ms(20),
-    ))));
-    let disk = sim.add_device(DiskDevice::new());
-
-    stress_kernel(&mut sim, StressDevices { nic, disk });
-
-    let prog = Program::forever(vec![Op::WaitIrq { device: rtc, api: WaitApi::ReadDevice }]);
-    let mut spec = TaskSpec::new("realfeel", SchedPolicy::fifo(90), prog).mlockall();
-    if let Some(cpu) = cfg.shield {
-        spec = spec.pinned(CpuMask::single(CpuId(cpu)));
-    }
-    let pid = sim.spawn(spec);
-    sim.watch_latency(pid);
-    sim.start();
-
-    if let Some(cpu) = cfg.shield {
-        ShieldPlan::cpu(CpuId(cpu))
-            .bind_task(pid)
-            .bind_irq(rtc)
-            .apply(&mut sim)
-            .expect("shield plan");
-    }
-    (sim, pid)
-}
-
-/// Advance `sim` until `pid` has recorded at least `samples` latency samples.
-fn collect_samples(sim: &mut Simulator, pid: sp_kernel::Pid, period: Nanos, samples: u64) {
-    let deadline = sim.now() + period.scale(4.0 * samples as f64);
-    loop {
-        let have = sim.obs.latencies(pid).len() as u64;
-        if have >= samples {
-            break;
-        }
-        assert!(sim.now() < deadline, "realfeel starved: {have} samples");
-        // Chunk tracks the remaining budget (realfeel samples about once per
-        // RTC period) so warm-ups and small runs don't overshoot by a whole
-        // maximum-size chunk; chunking never affects the trajectory.
-        sim.run_for(period * (samples - have).clamp(1_024, 32_768));
-    }
-}
-
-/// Run one independent simulation with an explicit seed and sample budget.
-/// `flight_top_k > 0` arms the flight recorder for that many worst windows
-/// (arming is pure observation — the trajectory is bit-identical either way).
-fn run_realfeel_shard(cfg: &RealfeelConfig, seed: u64, samples: u64, flight_top_k: usize) -> ShardOutput {
-    let (mut sim, pid) = build_realfeel_sim(cfg, seed);
-    if flight_top_k > 0 {
-        sim.arm_flight(flight_top_k);
-    }
-    let period = Nanos(1_000_000_000 / cfg.rtc_hz as u64);
-    collect_samples(&mut sim, pid, period, samples);
-
-    let mut histogram = LatencyHistogram::new();
-    for &l in sim.obs.latencies(pid) {
-        histogram.record(l);
-    }
-    let expected = sim.now().as_ns() / period.as_ns();
-    let overruns = expected.saturating_sub(histogram.count());
-    let traces = sim.flight.top().to_vec();
-    ShardOutput { histogram, overruns, events: sim.events_dispatched(), traces }
-}
-
-/// A warmed realfeel simulation distilled to what a fork needs: the
-/// copy-on-write [`Checkpoint`](sp_kernel::Checkpoint), the measured task's
-/// pid, and the events the warm-up cost. Cloning is an `Arc` bump, which is
-/// what lets the sweep engine's warm cache hand one entry to thousands of
-/// cells.
-#[derive(Clone)]
-pub(crate) struct WarmRealfeel {
-    pub(crate) ck: sp_kernel::Checkpoint,
-    pub(crate) pid: sp_kernel::Pid,
-    pub(crate) events: u64,
-}
-
-/// Build a realfeel simulation from `cfg` (seeded with `cfg.seed`), run it
-/// to `warm_target` samples of steady state, and checkpoint it. Pure
-/// function of `(cfg, warm_target)`, so two calls produce interchangeable
-/// checkpoints — the property the sweep's warm cache relies on for
-/// cache-hit/cache-miss equivalence.
-pub(crate) fn warm_realfeel(cfg: &RealfeelConfig, warm_target: u64) -> WarmRealfeel {
-    let period = Nanos(1_000_000_000 / cfg.rtc_hz as u64);
-    let (mut warm, pid) = build_realfeel_sim(cfg, cfg.seed);
-    collect_samples(&mut warm, pid, period, warm_target.max(1));
-    WarmRealfeel { ck: warm.checkpoint(), pid, events: warm.events_dispatched() }
-}
-
-/// Fork one independent run off a warm checkpoint: rebuild the simulator
-/// shell, restore the warm state, reseed every RNG stream with `seed`, drop
-/// the warm-up's shared-randomness samples, and collect `samples` fresh
-/// ones. Used by both the sharded figure path and the sweep engine's cells.
-pub(crate) fn run_fork_from_warm(
-    cfg: &RealfeelConfig,
-    warm: &WarmRealfeel,
-    seed: u64,
-    samples: u64,
-    flight_top_k: usize,
-) -> ShardOutput {
-    let period = Nanos(1_000_000_000 / cfg.rtc_hz as u64);
-    let (mut sim, pid) = build_realfeel_sim(cfg, cfg.seed);
-    debug_assert_eq!(pid, warm.pid, "warm and fork builds must agree on the measured task");
-    sim.restore(&warm.ck);
-    sim.reseed(seed);
-    sim.obs.reset_samples();
-    // Arm only after the restore so each fork's captured windows cover
-    // exactly the samples it reports, none of the shared warm-up.
-    if flight_top_k > 0 {
-        sim.arm_flight(flight_top_k);
-    }
-    let forked_at = sim.now();
-    let fork_events = sim.events_dispatched();
-    collect_samples(&mut sim, pid, period, samples);
-
-    let mut histogram = LatencyHistogram::new();
-    for &l in sim.obs.latencies(pid) {
-        histogram.record(l);
-    }
-    let expected = sim.now().since(forked_at).as_ns() / period.as_ns();
-    let overruns = expected.saturating_sub(histogram.count());
-    let traces = sim.flight.top().to_vec();
-    ShardOutput { histogram, overruns, events: sim.events_dispatched() - fork_events, traces }
-}
-
-/// Warm once, fork per shard. One simulation is built and run to a warm
-/// steady state; its [`Checkpoint`](sp_kernel::Checkpoint) then seeds every
-/// shard, which reseeds its RNG streams with its own shard seed and samples
-/// its budget from there. Shards pay the build + warm-up cost once between
-/// them instead of once each. The warm-up samples were drawn on shared
-/// randomness, so each fork drops them and reports only its own draws.
-fn run_realfeel_forked(cfg: &RealfeelConfig, shards: u32, flight_top_k: usize) -> Vec<ShardOutput> {
-    let seeds = crate::shard::shard_seeds(cfg.seed, shards);
-    let budgets = crate::shard::split_samples(cfg.samples, shards);
-
-    let warm_target = (cfg.samples / shards as u64 / 8).clamp(256, 4_096);
-    let warm = warm_realfeel(cfg, warm_target);
-
-    let mut outputs = crate::shard::run_indexed(shards as usize, |i| {
-        run_fork_from_warm(cfg, &warm, seeds[i], budgets[i], flight_top_k)
-    });
-    // The shared warm-up's event work is real; account it once.
-    outputs[0].events += warm.events;
-    outputs
-}
-
 /// Run the experiment.
 ///
 /// With `cfg.shards == 1` this is the classic single-simulation path seeded
 /// with `cfg.seed`. With `shards = K > 1` one simulation is warmed up on
 /// `cfg.seed`, checkpointed, and forked K times (see
-/// `run_realfeel_forked`); each fork reseeds from a deterministically
+/// the `rig` module); each fork reseeds from a deterministically
 /// forked shard seed (see [`crate::shard::shard_seeds`]), the forks run on
 /// threads, and their histograms are merged in shard-index order, so the
 /// output is bit-for-bit reproducible for a given `(seed, K)`.
@@ -294,24 +139,7 @@ pub fn run_realfeel_with_flight(
     cfg: &RealfeelConfig,
     top_k: usize,
 ) -> (RealfeelResult, Vec<WorstCaseTrace>) {
-    let shards = crate::shard::effective_shards(cfg.shards, cfg.samples);
-    let outputs: Vec<ShardOutput> = if shards <= 1 {
-        vec![run_realfeel_shard(cfg, cfg.seed, cfg.samples, top_k)]
-    } else {
-        run_realfeel_forked(cfg, shards, top_k)
-    };
-
-    let mut histogram = LatencyHistogram::new();
-    let mut overruns = 0u64;
-    let mut events = 0u64;
-    let mut per_shard = Vec::with_capacity(outputs.len());
-    for out in outputs {
-        histogram.merge(&out.histogram);
-        overruns += out.overruns;
-        events += out.events;
-        per_shard.push(out.traces);
-    }
-    let traces = crate::flight::merge_top(per_shard, top_k);
+    let shot = Shot::merge(cfg.rig().run_shards(cfg.seed, cfg.samples, cfg.shards, top_k), top_k);
     let ladder = if cfg.shield.is_some() {
         CumulativeReport::paper_sub_ms_ladder()
     } else {
@@ -320,18 +148,19 @@ pub fn run_realfeel_with_flight(
 
     let result = RealfeelResult {
         config: cfg.clone(),
-        summary: LatencySummary::from_histogram(&histogram),
-        cumulative: CumulativeReport::new(&histogram, &ladder),
-        histogram,
-        overruns,
-        events,
+        summary: LatencySummary::from_histogram(&shot.histogram),
+        cumulative: CumulativeReport::new(&shot.histogram, &ladder),
+        histogram: shot.histogram,
+        overruns: shot.overruns,
+        events: shot.events,
     };
-    (result, traces)
+    (result, shot.traces)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::Nanos;
 
     /// `shards == 1` must be the historical single-simulation output,
     /// bit-for-bit: same seed, same code path, same histogram.
@@ -340,7 +169,7 @@ mod tests {
         let cfg = RealfeelConfig::fig6_redhawk_shielded().with_samples(5_000);
         assert_eq!(cfg.shards, 1);
         let via_public = run_realfeel(&cfg);
-        let direct = run_realfeel_shard(&cfg, cfg.seed, cfg.samples, 0);
+        let direct = cfg.rig().run_cold(cfg.seed, cfg.samples, 0);
         assert_eq!(
             serde_json::to_string(&via_public.histogram).unwrap(),
             serde_json::to_string(&direct.histogram).unwrap()
@@ -356,7 +185,7 @@ mod tests {
         let cfg = RealfeelConfig::fig6_redhawk_shielded().with_samples(6_000).with_shards(3);
         let merged = run_realfeel(&cfg);
 
-        let outputs = run_realfeel_forked(&cfg, 3, 0);
+        let outputs = cfg.rig().run_shards(cfg.seed, cfg.samples, 3, 0);
         assert_eq!(outputs.len(), 3);
         let mut count = 0u64;
         let mut overruns = 0u64;
@@ -382,32 +211,6 @@ mod tests {
             serde_json::to_string(&outputs[0].histogram).unwrap(),
             serde_json::to_string(&outputs[1].histogram).unwrap()
         );
-    }
-
-    /// Tentpole acceptance: a fork restored from a warm checkpoint and run
-    /// forward (same RNG streams) is bit-identical to just continuing the
-    /// warm simulation — the full fig-6 workload round-trips through
-    /// `checkpoint()`/`restore()` without observable drift.
-    #[test]
-    fn forked_run_is_bit_identical_to_continuing_the_warm_sim() {
-        let cfg = RealfeelConfig::fig6_redhawk_shielded().with_samples(4_000);
-        let period = Nanos(1_000_000_000 / cfg.rtc_hz as u64);
-
-        let (mut warm, pid) = build_realfeel_sim(&cfg, cfg.seed);
-        collect_samples(&mut warm, pid, period, 1_000);
-        let ck = warm.checkpoint();
-
-        let (mut fork, fork_pid) = build_realfeel_sim(&cfg, cfg.seed);
-        fork.restore(&ck);
-        assert_eq!(fork_pid, pid);
-        assert_eq!(fork.now(), warm.now());
-
-        collect_samples(&mut warm, pid, period, cfg.samples);
-        collect_samples(&mut fork, fork_pid, period, cfg.samples);
-
-        assert_eq!(warm.now(), fork.now());
-        assert_eq!(warm.events_dispatched(), fork.events_dispatched());
-        assert_eq!(warm.obs.latencies(pid), fork.obs.latencies(fork_pid));
     }
 
     /// Arming the flight recorder changes nothing measurable — the sharded

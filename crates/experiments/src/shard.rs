@@ -6,7 +6,11 @@
 //! simulations with forked seeds sample the same stationary latency
 //! distribution, and their histograms merge exactly (`LatencyHistogram::merge`
 //! is lossless). This module holds the seed-forking, budget-splitting and
-//! thread fan-out shared by `run_realfeel` and `run_rcim`.
+//! thread fan-out primitives. The crate's `rig` module builds on them: the
+//! sharded figure runs (`run_realfeel`, `run_rcim`) and the matrix group
+//! engine behind both fault matrices split budgets, fork seeds and fan out
+//! through these functions, so every sharded experiment shares one
+//! contract.
 //!
 //! # Determinism contract
 //!

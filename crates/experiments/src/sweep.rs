@@ -32,7 +32,8 @@
 //! physical cache hits) live in [`SweepTelemetry`] and stay out of the
 //! artifact.
 
-use crate::realfeel::{run_fork_from_warm, warm_realfeel, RealfeelConfig, WarmRealfeel};
+use crate::realfeel::RealfeelConfig;
+use crate::rig::{Fork, Shot, Warm};
 use serde::{Deserialize, Serialize};
 use simcore::SimRng;
 use sp_fleet::PoolConfig;
@@ -125,6 +126,19 @@ impl SweepConfig {
             seed: self.base_seed,
             shards: 1,
         }
+    }
+
+    /// Build `wcfg`'s simulation on its seed and run it to the warm sample
+    /// target: a pure function of `(wcfg, warm_samples)`, so a cache hit
+    /// and a cache miss fork from interchangeable checkpoints.
+    fn warm(&self, wcfg: &RealfeelConfig) -> Warm {
+        wcfg.rig().warm(wcfg.seed, self.warm_samples.max(1))
+    }
+
+    /// Fork one cell off its group's warm checkpoint: reseed with the
+    /// cell's seed, drop the warm-up samples, collect the cell's budget.
+    fn run_cell(&self, wcfg: &RealfeelConfig, warm: &Warm, seed: u64) -> Shot {
+        wcfg.rig().run_fork(warm, Fork::Reseed(seed), self.samples_per_cell, 0)
     }
 
     /// Lazy cell stream, group-major. Cell seeds fork off
@@ -343,7 +357,7 @@ struct CellOutput {
 /// per-group aggregates and the bounded worst-cell list as they arrive.
 pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
     let t0 = std::time::Instant::now();
-    let cache: WarmCache<WarmRealfeel> = WarmCache::new();
+    let cache: WarmCache<Warm> = WarmCache::new();
 
     let mut groups: Vec<GroupAgg> = cfg
         .groups
@@ -361,8 +375,8 @@ pub fn run_sweep(cfg: &SweepConfig) -> (SweepReport, SweepTelemetry) {
             |cell: SweepCell, _| {
                 let wcfg = cfg.warm_config(&cfg.groups[cell.group]);
                 let key = warm_fingerprint(&wcfg, cfg.warm_samples);
-                let warm = cache.get_or_warm(key, || warm_realfeel(&wcfg, cfg.warm_samples));
-                let out = run_fork_from_warm(&wcfg, &warm, cell.seed, cfg.samples_per_cell, 0);
+                let warm = cache.get_or_warm(key, || cfg.warm(&wcfg));
+                let out = cfg.run_cell(&wcfg, &warm, cell.seed);
                 CellOutput {
                     group: cell.group,
                     seed: cell.seed,
@@ -493,10 +507,10 @@ mod tests {
         let wcfg = cfg.warm_config(group);
         let seed = cfg.cells().find(|c| c.group == 2).unwrap().seed;
 
-        let shared = warm_realfeel(&wcfg, cfg.warm_samples);
-        let via_hit = run_fork_from_warm(&wcfg, &shared, seed, cfg.samples_per_cell, 0);
-        let fresh = warm_realfeel(&wcfg, cfg.warm_samples);
-        let via_miss = run_fork_from_warm(&wcfg, &fresh, seed, cfg.samples_per_cell, 0);
+        let shared = cfg.warm(&wcfg);
+        let via_hit = cfg.run_cell(&wcfg, &shared, seed);
+        let fresh = cfg.warm(&wcfg);
+        let via_miss = cfg.run_cell(&wcfg, &fresh, seed);
 
         assert_eq!(
             serde_json::to_string(&via_hit.histogram).unwrap(),

@@ -172,12 +172,8 @@ pub struct Simulator {
     /// The armed segment-end event of each CPU's current activity
     /// (`None` while idle or spinning).
     seg_end: Vec<Option<(EventKey, u64)>>,
-    /// The armed local-timer event per CPU (`None` when the timer is off —
-    /// or parked by `nohz_idle` while the CPU is fully idle).
+    /// The armed local-timer event per CPU (`None` when the timer is off).
     tick_keys: Vec<Option<EventKey>>,
-    /// The instant each CPU's next tick is (or, while parked, would have
-    /// been) due — anchors `nohz_idle` re-arming to the original tick grid.
-    tick_next_ns: Vec<u64>,
     sched: SchedulerKind,
     locks: LockTable,
     devices: Vec<DeviceSlot>,
@@ -265,7 +261,6 @@ impl Simulator {
             cpu_last_busy_ns: vec![0; n],
             seg_end: vec![None; n],
             tick_keys: vec![None; n],
-            tick_next_ns: vec![0; n],
             sched,
             locks: LockTable::new(),
             devices: Vec::new(),
@@ -549,7 +544,6 @@ impl Simulator {
                 let at = self.now + self.cfg.jiffy();
                 let key = self.queue.push(at, Ev::Tick { cpu: cpu.0 });
                 self.tick_keys[i] = Some(key);
-                self.tick_next_ns[i] = at.as_ns();
             }
         } else if let Some(key) = self.tick_keys[i].take() {
             self.queue.cancel(key);
@@ -657,7 +651,6 @@ impl Simulator {
                 let at = self.now + phase;
                 let key = self.queue.push(at, Ev::Tick { cpu: cpu as u32 });
                 self.tick_keys[cpu] = Some(key);
-                self.tick_next_ns[cpu] = at.as_ns();
             }
         }
         // Devices.
@@ -742,9 +735,6 @@ impl Simulator {
         let bit = 1u64 << cpu;
         let was_idle = self.busy_mask & bit == 0;
         self.busy_mask |= bit;
-        if was_idle && self.cfg.nohz_idle {
-            self.unpark_tick(cpu);
-        }
         let slowdown = self.sample_slowdown(cpu);
         let act = Activity { kind, remaining: work, since: self.now, slowdown };
         if !matches!(act.kind, ActKind::SpinWait { .. }) {
@@ -990,7 +980,6 @@ impl Simulator {
             let at = self.now + Nanos(stride * self.cfg.jiffy().as_ns());
             let key = self.queue.push(at, Ev::Tick { cpu: cpu as u32 });
             self.tick_keys[cpu] = Some(key);
-            self.tick_next_ns[cpu] = at.as_ns();
             self.obs.cpu[cpu].ticks_elided += stride;
             if self.flight.is_armed() {
                 self.flight.record(FlightEvent::instant(
@@ -1005,7 +994,6 @@ impl Simulator {
         let at = self.now + self.cfg.jiffy();
         let key = self.queue.push(at, Ev::Tick { cpu: cpu as u32 });
         self.tick_keys[cpu] = Some(key);
-        self.tick_next_ns[cpu] = at.as_ns();
         if !self.cpu_can_take_irq(cpu) {
             // Delivery masked; the tick is lost (real hardware would pend it,
             // but irq-off windows are ≪ a jiffy so the distinction is noise).
@@ -1026,42 +1014,6 @@ impl Simulator {
         !self.tasks.iter().any(|t| {
             t.state == TaskState::Ready && t.effective_affinity.contains(CpuId(cpu as u32))
         })
-    }
-
-    /// `nohz_idle`: cancel the local-timer event of a CPU that just became
-    /// fully idle. The tick grid position is remembered in `tick_next_ns`,
-    /// so re-arming lands exactly where the timer would have fired anyway.
-    #[cold]
-    fn park_tick(&mut self, cpu: usize) {
-        if !self.cpus[cpu].local_timer_on || !self.is_fully_idle(cpu) {
-            return;
-        }
-        if let Some(key) = self.tick_keys[cpu].take() {
-            self.queue.cancel(key);
-        }
-    }
-
-    /// `nohz_idle`: re-arm a parked local timer on the first grid instant
-    /// not yet in the past, counting the grid points that fell inside the
-    /// idle window as elided.
-    #[cold]
-    fn unpark_tick(&mut self, cpu: usize) {
-        if !self.cpus[cpu].local_timer_on || self.tick_keys[cpu].is_some() {
-            return;
-        }
-        let jiffy = self.cfg.jiffy().as_ns();
-        let next = self.tick_next_ns[cpu];
-        let now = self.now.as_ns();
-        let (fire, elided) = if now >= next {
-            let k = (now - next) / jiffy + 1;
-            (next + k * jiffy, k)
-        } else {
-            (next, 0)
-        };
-        self.obs.cpu[cpu].ticks_elided += elided;
-        let key = self.queue.push(Instant(fire), Ev::Tick { cpu: cpu as u32 });
-        self.tick_keys[cpu] = Some(key);
-        self.tick_next_ns[cpu] = fire;
     }
 
     // ------------------------------------------------------------------
@@ -1594,9 +1546,6 @@ impl Simulator {
                 if self.busy_mask & bit != 0 {
                     self.busy_mask &= !bit;
                     self.cpu_last_busy_ns[cpu] = self.now.as_ns();
-                    if self.cfg.nohz_idle {
-                        self.park_tick(cpu);
-                    }
                     self.reprice_others(cpu);
                 }
             }
@@ -2128,7 +2077,6 @@ impl Simulator {
             cpu_last_busy_ns: self.cpu_last_busy_ns.clone(),
             seg_end: self.seg_end.clone(),
             tick_keys: self.tick_keys.clone(),
-            tick_next_ns: self.tick_next_ns.clone(),
             sched: self.sched.clone(),
             locks: self.locks.clone(),
             devices: self
@@ -2182,7 +2130,6 @@ impl Simulator {
         self.cpu_last_busy_ns.clone_from(&ck.cpu_last_busy_ns);
         self.seg_end.clone_from(&ck.seg_end);
         self.tick_keys.clone_from(&ck.tick_keys);
-        self.tick_next_ns.clone_from(&ck.tick_next_ns);
         self.sched.clone_from(&ck.sched);
         self.locks.clone_from(&ck.locks);
         for (slot, (state, rng)) in self.devices.iter_mut().zip(&ck.devices) {
@@ -2229,7 +2176,6 @@ struct CheckpointImage {
     cpu_last_busy_ns: Vec<u64>,
     seg_end: Vec<Option<(EventKey, u64)>>,
     tick_keys: Vec<Option<EventKey>>,
-    tick_next_ns: Vec<u64>,
     sched: SchedulerKind,
     locks: LockTable,
     /// Per-device `(internal state, RNG stream)`, index-aligned with the

@@ -153,4 +153,10 @@ fn paper_presets_have_all_modern_knobs_off() {
     }
     let back: KernelConfig = serde_json::from_str(&stripped).expect("deserialize");
     assert_eq!(back, KernelConfig::redhawk());
+    // A config saved while the retired `nohz_idle` knob existed (always off)
+    // still loads, the stale field ignored.
+    let legacy = json.replacen("\"nohz_full\":", "\"nohz_idle\":false,\"nohz_full\":", 1);
+    assert!(legacy.contains("\"nohz_idle\":false"), "{legacy}");
+    let back: KernelConfig = serde_json::from_str(&legacy).expect("deserialize legacy");
+    assert_eq!(back, KernelConfig::redhawk());
 }
